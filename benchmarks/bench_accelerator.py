@@ -1,11 +1,17 @@
 """Index-backed axis steps vs label scans, and splices vs rebuilds.
 
-Two claims behind ROADMAP item 2, measured on XMark documents:
+Four claims behind ROADMAP item 2, measured on XMark documents:
 
 * **query**: with an :class:`~repro.axes.accelerator.AxisAccelerator`
   attached, descendant/following/preceding steps are window range
   scans — on a 50k-node document they must beat the
   ``_filter_by_label`` full scan by >=5x;
+* **name test**: a name-tested descendant step (``//name``) sliced
+  from the per-name postings must beat filtering the subtree window
+  by >=5x on the same document;
+* **ordering**: sorting a result set into document order by index
+  position must beat building a document-order map from a walk of the
+  document (what every XPath step used to do) by >=5x;
 * **maintenance**: keeping the index current through the structural
   delta stream (positional splices) must beat rebuilding it after
   every update, on a mixed insert/delete/move workload.
@@ -78,6 +84,79 @@ def bench_axis_steps(scale, contexts_count):
         print(f"{axis:18s} scan={scan_ms:9.1f} ms  "
               f"accelerated={fast_ms:7.1f} ms  ({speedup:6.1f}x, "
               f"{len(contexts)} contexts)")
+    return rows
+
+
+#: Element names of the ``//name`` rows: frequent to rare.
+NAME_TESTS = ("name", "item", "bidder", "increase", "open_auction")
+
+
+def bench_name_tests(scale, contexts_count):
+    """``//name`` from postings vs the subtree window plus a name filter."""
+    ldoc, accelerator = build(scale)
+    contexts = [ldoc.document.root] + sample_contexts(
+        ldoc.document, contexts_count)
+    rows = []
+    for name in NAME_TESTS:
+        start = time.perf_counter()
+        filtered = [
+            [node for node in accelerator.evaluate("descendant", context)
+             if node.is_element and node.name == name]
+            for context in contexts
+        ]
+        window_ms = (time.perf_counter() - start) * 1000
+        start = time.perf_counter()
+        sliced = [accelerator.named_descendants("descendant", context, name)
+                  for context in contexts]
+        postings_ms = (time.perf_counter() - start) * 1000
+        for expected, got in zip(filtered, sliced):
+            assert ids(expected) == ids(got)
+        speedup = window_ms / postings_ms if postings_ms else float("inf")
+        rows.append({
+            "workload": "name-test",
+            "name": name,
+            "nodes": ldoc.document.labeled_size(),
+            "contexts": len(contexts),
+            "matches": sum(len(result) for result in sliced),
+            "window_filter_ms": round(window_ms, 3),
+            "postings_ms": round(postings_ms, 3),
+            "speedup": round(speedup, 1),
+        })
+        print(f"//{name:16s} window+filter={window_ms:8.2f} ms  "
+              f"postings={postings_ms:7.3f} ms  ({speedup:6.1f}x)")
+    return rows
+
+
+def bench_result_ordering(scale):
+    """Document order by index position vs by a document walk."""
+    ldoc, accelerator = build(scale)
+    rows = []
+    for name in NAME_TESTS[:3]:
+        # Results of a union arrive unordered; reverse to force the sort.
+        results = accelerator.named_descendants(
+            "descendant", ldoc.document.root, name)[::-1]
+        start = time.perf_counter()
+        order = {node.node_id: position for position, node
+                 in enumerate(ldoc.document.labeled_nodes())}
+        walked = sorted(results, key=lambda node: order[node.node_id])
+        walk_ms = (time.perf_counter() - start) * 1000
+        start = time.perf_counter()
+        positioned = sorted(results, key=accelerator.order_key())
+        position_ms = (time.perf_counter() - start) * 1000
+        assert ids(walked) == ids(positioned)
+        speedup = walk_ms / position_ms if position_ms else float("inf")
+        rows.append({
+            "workload": "ordering",
+            "name": name,
+            "nodes": ldoc.document.labeled_size(),
+            "results": len(results),
+            "walk_ms": round(walk_ms, 3),
+            "position_ms": round(position_ms, 3),
+            "speedup": round(speedup, 1),
+        })
+        print(f"order //{name:10s} walk={walk_ms:8.2f} ms  "
+              f"position={position_ms:7.3f} ms  ({speedup:6.1f}x, "
+              f"{len(results)} results)")
     return rows
 
 
@@ -212,10 +291,13 @@ def main(argv=None):
     contexts = 6 if args.quick else 20
     UPDATE_BUDGET = 12 if args.quick else 60
     rows = bench_axis_steps(scale, contexts)
+    rows.extend(bench_name_tests(scale, contexts))
+    rows.extend(bench_result_ordering(scale))
     rows.extend(bench_maintenance(scale))
     if not args.quick:
         for row in rows:
-            if row["workload"] == "axis-step" and row["axis"] in TIMED_AXES:
+            if (row["workload"] == "axis-step" and row["axis"] in TIMED_AXES
+                    or row["workload"] in ("name-test", "ordering")):
                 assert row["nodes"] >= 50_000, row
                 assert row["speedup"] >= 5.0, row
             if row["workload"] == "maintenance":

@@ -17,37 +17,48 @@ labelling.
 * ``_end``   — for each position ``p``, the exclusive end of the
   subtree window: ``_nodes[p:_end[p]]`` is exactly the subtree rooted
   at ``_nodes[p]`` (preorder contiguity);
-* ``_pos``   — ``node_id -> position``.
+* ``_pos``   — ``node_id -> position``;
+* ``_postings`` — ``element name -> [elements]`` in document order (the
+  element/tag index), kept only while the index is attached.
 
 Every major axis then falls out as a range copy or a window jump —
 descendants are one slice, following is one slice, ancestors and
 preceding skip over whole subtrees via ``_end`` instead of testing
 nodes one by one — independent of which of the 17 schemes labelled the
-document, and without a single label comparison.
+document, and without a single label comparison.  A name-tested
+descendant step (``//item``) is a bisect slice of ``_postings[name]``
+inside the context's ``[pos, _end[pos])`` window, so it costs the
+matches rather than the subtree.  The positions are also the document
+order XPath results are sorted into (:meth:`order_key`).
 
 Incremental maintenance: the accelerator subscribes to the document's
 :class:`~repro.updates.document.StructuralDelta` stream.  Inserts and
 deletes are positional splices with window repair (O(n - position)
-pointer moves, no label work); consolidated batch relabellings and
-transaction rollbacks publish ``rebuild`` deltas that mark the index
-dirty for a lazy full rebuild at the next query.  The document's
+pointer moves, no label work) and a bisect splice of the postings;
+``rename`` deltas move one element between postings lists; consolidated
+batch relabellings and transaction rollbacks publish ``rebuild`` deltas
+that mark the index dirty for a lazy full rebuild at the next query.  The document's
 ``structure_version`` stamp closes the remaining hole: a structural
 mutation the index did not consume (a detached index, a mid-batch
 deferred insert, a tree mutated behind the document's back) makes the
 next query raise :class:`~repro.errors.StaleIndexError` instead of
-silently answering from dead positions.
+silently answering from dead positions.  Renames do not move the
+structure version, so only an attached index — one that sees every
+``rename`` delta — keeps postings; a detached index answers name tests
+by window plus filter and can never serve a stale name.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import bisect
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import StaleIndexError, UnsupportedRelationshipError
 from repro.observability.metrics import get_registry
 from repro.observability.ops import get_oplog
 from repro.observability.tracing import get_tracer
 from repro.updates.document import LabeledDocument, StructuralDelta
-from repro.xmlmodel.tree import XMLNode
+from repro.xmlmodel.tree import NodeKind, XMLNode
 
 #: The axes the accelerator answers from its order index.  ``self`` and
 #: ``attribute`` stay with the evaluator — they never scan.
@@ -63,6 +74,12 @@ ACCELERATED_AXES = frozenset((
     "following-sibling",
     "preceding-sibling",
 ))
+
+#: The axes a name test can answer from the per-name postings.
+POSTINGS_AXES = frozenset(("descendant", "descendant-or-self"))
+
+#: EXPLAIN strategy label of a name-tested step answered from postings.
+POSTINGS_STRATEGY = "accelerator-postings"
 
 
 class AxisAccelerator:
@@ -98,6 +115,7 @@ class AxisAccelerator:
         self._nodes: List[XMLNode] = []
         self._end: List[int] = []
         self._pos: Dict[int, int] = {}
+        self._postings: Optional[Dict[str, List[XMLNode]]] = None
         self._stamp = -1
         self._dirty = True
         self._attached = False
@@ -141,28 +159,54 @@ class AxisAccelerator:
         # Nodes a batch has deferred are structurally present but carry
         # no label yet; they are invisible to label-side evaluation and
         # stay off the index too (the pending-batch gate refuses queries
-        # until the batch applies anyway).
+        # until the batch applies anyway).  One preorder walk fills the
+        # order array, the windows and the postings: a window closes
+        # when the walk leaves its subtree.
         labels = self.ldoc.labels
-        nodes = [
-            node for node in self.document.labeled_nodes()
-            if node.node_id in labels
-        ]
-        total = len(nodes)
-        end = [0] * total
+        element = NodeKind.ELEMENT
+        attribute = NodeKind.ATTRIBUTE
+        keep_postings = self._attached
+        nodes: List[XMLNode] = []
+        end: List[int] = []
         pos: Dict[int, int] = {}
-        stack: List[tuple] = []  # (node_id, position) of open subtrees
-        for index, node in enumerate(nodes):
+        postings: Dict[str, List[XMLNode]] = {}
+        open_ids: List[Optional[int]] = [None]  # the root's parent id
+        open_at: List[int] = [-1]
+        root = self.document.root
+        todo = [root] if root is not None else []
+        while todo:
+            node = todo.pop()
+            kind = node.kind
+            if kind is element:
+                todo.extend(reversed(node.children))
+            elif kind is not attribute:
+                continue
+            node_id = node.node_id
+            if node_id not in labels:
+                continue
+            index = len(nodes)
             parent = node.parent
             parent_id = parent.node_id if parent is not None else None
-            while stack and stack[-1][0] != parent_id:
-                end[stack.pop()[1]] = index
-            stack.append((node.node_id, index))
-            pos[node.node_id] = index
-        while stack:
-            end[stack.pop()[1]] = total
+            while open_ids[-1] != parent_id and len(open_ids) > 1:
+                open_ids.pop()
+                end[open_at.pop()] = index
+            open_ids.append(node_id)
+            open_at.append(index)
+            nodes.append(node)
+            end.append(0)
+            pos[node_id] = index
+            if keep_postings and kind is element:
+                bucket = postings.get(node.name)
+                if bucket is None:
+                    postings[node.name] = [node]
+                else:
+                    bucket.append(node)
+        for at in open_at[1:]:
+            end[at] = len(nodes)
         self._nodes = nodes
         self._end = end
         self._pos = pos
+        self._postings = postings if keep_postings else None
         self._dirty = False
         self._stamp = self.document.structure_version
         self._metric_builds.increment()
@@ -172,6 +216,7 @@ class AxisAccelerator:
         if self._attached:
             self.ldoc.unsubscribe_deltas(self)
             self._attached = False
+            self._postings = None
 
     @property
     def attached(self) -> bool:
@@ -234,6 +279,8 @@ class AxisAccelerator:
                         self._apply_splice(delta)
                         op.set(nodes=1 + len(delta.removed_ids or ()),
                                kind=delta.kind)
+            elif delta.kind == "rename":
+                self._on_rename(delta.node, delta.old_name)
             elif delta.kind == "relabel":
                 self._on_relabel(delta.count)
             else:  # rebuild
@@ -289,6 +336,11 @@ class AxisAccelerator:
         pos[node.node_id] = insert_at
         for j in range(insert_at + 1, len(self._nodes)):
             pos[self._nodes[j].node_id] = j
+        if self._postings is not None and node.is_element:
+            bucket = self._postings.setdefault(node.name, [])
+            bucket.insert(
+                bisect.bisect_left(bucket, insert_at, key=self._key), node
+            )
         self._metric_splices.increment()
 
     def _splice_delete(self, root_id: Optional[int],
@@ -305,6 +357,14 @@ class AxisAccelerator:
         stop = self._end[position]
         size = stop - position
         pos = self._pos
+        if self._postings is not None:
+            # One name's elements inside the window are one contiguous
+            # run of its postings: cut each run while positions hold.
+            for name in {node.name for node in self._nodes[position:stop]
+                         if node.is_element}:
+                bucket = self._postings[name]
+                del bucket[bisect.bisect_left(bucket, position, key=self._key):
+                           bisect.bisect_left(bucket, stop, key=self._key)]
         for node in self._nodes[position:stop]:
             del pos[node.node_id]
         del self._nodes[position:stop]
@@ -316,6 +376,27 @@ class AxisAccelerator:
         for j in range(position, len(self._nodes)):
             pos[self._nodes[j].node_id] = j
         self._metric_splices.increment()
+
+    def _on_rename(self, node: XMLNode, old_name: str) -> None:
+        # A rename moves no node: only the postings change.  A node the
+        # index does not hold (a batch's unlabelled insert) is picked up
+        # under its new name when it is spliced in or rebuilt.
+        if self._postings is None or not node.is_element:
+            return
+        position = self._pos.get(node.node_id)
+        if position is None or self._nodes[position] is not node:
+            return
+        old = self._postings.get(old_name, [])
+        index = bisect.bisect_left(old, position, key=self._key)
+        if index == len(old) or old[index] is not node:
+            # The postings missed a rename: rebuild rather than guess.
+            self._dirty = True
+            return
+        del old[index]
+        if not old:
+            del self._postings[old_name]
+        new = self._postings.setdefault(node.name, [])
+        new.insert(bisect.bisect_left(new, position, key=self._key), node)
 
     def _on_relabel(self, count: int) -> None:
         # Positions are label-free: a relabelling moves no node, so the
@@ -392,6 +473,43 @@ class AxisAccelerator:
         self._metric_queries.increment()
         handler = getattr(self, "_axis_" + axis.replace("-", "_"))
         return handler(self._position(node))
+
+    def named_descendants(self, axis: str, node: XMLNode,
+                          name: str) -> List[XMLNode]:
+        """Elements called ``name`` on a descendant axis, in document order.
+
+        With postings this is two bisects and one slice of
+        ``_postings[name]`` inside the context's subtree window; a
+        detached index has no postings and filters the window instead.
+        """
+        if axis not in POSTINGS_AXES:
+            raise UnsupportedRelationshipError(
+                f"axis {axis!r} has no postings route"
+            )
+        self._ensure_current()
+        self._metric_queries.increment()
+        position = self._position(node)
+        start = position if axis == "descendant-or-self" else position + 1
+        stop = self._end[position]
+        if self._postings is None:
+            return [candidate for candidate in self._nodes[start:stop]
+                    if candidate.is_element and candidate.name == name]
+        bucket = self._postings.get(name, ())
+        key = self._key
+        return bucket[bisect.bisect_left(bucket, start, key=key):
+                      bisect.bisect_left(bucket, stop, key=key)]
+
+    def order_key(self) -> Callable[[XMLNode], int]:
+        """A sort key mapping an indexed node to its document position.
+
+        The index is brought current first (or refuses), so a sort by
+        this key is a sort into document order.
+        """
+        self._ensure_current()
+        return self._key
+
+    def _key(self, node: XMLNode) -> int:
+        return self._pos[node.node_id]
 
     def _axis_descendant(self, position: int) -> List[XMLNode]:
         return self._nodes[position + 1:self._end[position]]

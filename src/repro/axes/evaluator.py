@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, List, Optional
 
+from repro.axes.accelerator import POSTINGS_AXES, POSTINGS_STRATEGY
 from repro.errors import UnsupportedRelationshipError
 from repro.updates.document import LabeledDocument
 from repro.xmlmodel.tree import XMLNode
@@ -71,13 +72,18 @@ class AxisEvaluator:
         handler = getattr(self, "_axis_" + axis.replace("-", "_"))
         return handler(node)
 
-    def strategy_for(self, axis: str) -> "tuple[str, str]":
-        """``(strategy, reason)`` describing how :meth:`evaluate` would
-        answer ``axis`` right now — the EXPLAIN routing decision.
+    def strategy_for(self, axis: str,
+                     name_test: str = "*") -> "tuple[str, str]":
+        """``(strategy, reason)`` describing how ``axis`` under
+        ``name_test`` would be answered right now — the EXPLAIN routing
+        decision, and the one :class:`~repro.axes.xpath.XPathEvaluator`
+        acts on.
 
-        Strategies: ``accelerator-window`` (PR 7 window range scans),
-        ``plane`` (a static :class:`~repro.axes.plane.PrePostPlane`),
-        ``scan`` (the O(n) label-table pass), with the reason stated.
+        Strategies: ``accelerator-postings`` (a name-tested descendant
+        step sliced from the per-name postings of an attached index),
+        ``accelerator-window`` (window range scans), ``plane`` (a static
+        :class:`~repro.axes.plane.PrePostPlane`), ``scan`` (the O(n)
+        label-table pass), with the reason stated.
         """
         accelerator = self.accelerator
         if accelerator is None:
@@ -87,8 +93,20 @@ class AxisEvaluator:
         state, reason = accelerator.explain_state()
         if state == "refuse":
             return ("scan", reason)
-        return (getattr(accelerator, "STRATEGY", "accelerator-window"),
-                reason)
+        if (name_test != "*" and axis in POSTINGS_AXES
+                and accelerator.attached):
+            # Only an attached index sees every rename, so only it
+            # keeps postings.
+            return (POSTINGS_STRATEGY,
+                    f"{name_test!r} postings sliced to the subtree window")
+        return (accelerator.STRATEGY, reason)
+
+    def evaluate_named(self, axis: str, node: XMLNode,
+                       name_test: str) -> List[XMLNode]:
+        """Elements called ``name_test`` on a descendant ``axis`` of
+        ``node``, from the accelerator's postings."""
+        self.accelerated_hits += 1
+        return self.accelerator.named_descendants(axis, node, name_test)
 
     # -- axes ------------------------------------------------------------
 

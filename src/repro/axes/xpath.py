@@ -13,9 +13,11 @@ exists to serve.
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.axes.accelerator import POSTINGS_STRATEGY
 from repro.axes.evaluator import AxisEvaluator
 from repro.axes.xpath_ast import (
     Step,
@@ -33,18 +35,23 @@ class XPathEvaluator:
     """Evaluates parsed paths against a :class:`LabeledDocument`.
 
     ``accelerator`` (see :class:`~repro.axes.accelerator.AxisAccelerator`)
-    reroutes the axis steps it covers to window range scans; without one,
-    every step takes the label-table scan path.
+    reroutes the axis steps it covers to window range scans, and
+    name-tested descendant steps to its per-name postings; without one,
+    every step takes the label-table scan path.  While the accelerator
+    would answer, its positions are also the document order every step's
+    results are merged into.
 
     ``recorder`` (a :class:`~repro.observability.explain.PlanRecorder`)
     turns on EXPLAIN instrumentation: every location step reports its
-    routing strategy, context size, cardinality, and wall time.  The
-    default ``None`` keeps the evaluation loop byte-for-byte on its
-    uninstrumented path — no allocations, no clock reads.  In recorder
-    mode, steps whose index would refuse (stale detached accelerator)
-    are answered via the label-table scan instead of raising, so EXPLAIN
-    can always show the full plan.
+    routing strategy, context size, axis candidates, cardinality and wall
+    time.  The default ``None`` reads no clock.  In recorder mode, steps
+    whose index would refuse (stale detached accelerator) are answered
+    via the label-table scan instead of raising, so EXPLAIN can always
+    show the full plan.
     """
+
+    #: EXPLAIN reason of an absolute path's first child step.
+    ROOT_TEST = "first step from the virtual document node (root test)"
 
     def __init__(self, ldoc: LabeledDocument, allow_fallback: bool = True,
                  accelerator=None, recorder=None):
@@ -52,6 +59,7 @@ class XPathEvaluator:
         self.axes = AxisEvaluator(ldoc, allow_fallback=allow_fallback,
                                   accelerator=accelerator)
         self.recorder = recorder
+        self._order: Optional[Dict[int, int]] = None
 
     def evaluate(self, path: str,
                  context: Optional[XMLNode] = None) -> List[XMLNode]:
@@ -60,17 +68,25 @@ class XPathEvaluator:
         Top-level ``|`` unions are supported: each branch is evaluated
         independently and the results merge in document order.
         """
-        branches = self._split_union(path)
-        if len(branches) > 1:
-            gathered: List[XMLNode] = []
-            for branch in branches:
-                gathered.extend(self.evaluate(branch, context))
-            return self._dedupe(gathered)
-        return self._evaluate_single(path, context)
+        self._order = None
+        branches = split_union(path)
+        gathered: List[XMLNode] = []
+        for branch in branches:
+            gathered.extend(self._evaluate_single(branch, context))
+        return gathered if len(branches) == 1 else self._dedupe(gathered)
 
-    @staticmethod
-    def _split_union(path: str) -> List[str]:
-        return split_union(path)
+    def route(self, step: Step, from_root: bool) -> Tuple[str, str, str]:
+        """``(axis, strategy, reason)`` for one step.
+
+        An absolute path's first step runs from the virtual document
+        node: ``/book`` tests the root itself and ``//book`` is the
+        root's descendant-or-self axis.
+        """
+        if from_root and step.axis == "child":
+            return ("self", "scan", self.ROOT_TEST)
+        axis = ("descendant-or-self"
+                if from_root and step.axis == "descendant" else step.axis)
+        return (axis,) + self.axes.strategy_for(axis, step.name_test)
 
     def _evaluate_single(self, path: str,
                          context: Optional[XMLNode] = None) -> List[XMLNode]:
@@ -80,116 +96,63 @@ class XPathEvaluator:
             return []
         if self.recorder is not None:
             self.recorder.begin_branch(path)
-        if absolute:
-            current = [root]
-            # An absolute path's first step evaluates from the virtual
-            # document node: /book selects the root if it is named book,
-            # and //book must include the root itself.
-            if steps:
-                first = steps[0]
-                if first.axis == "child":
-                    if self.recorder is None:
-                        current = self._apply_tests(first, [root])
-                    else:
-                        current = self._record_root_step(first, root)
-                    steps = steps[1:]
-                elif first.axis == "descendant":
-                    if self.recorder is None:
-                        candidates = self.axes.evaluate(
-                            "descendant-or-self", root
-                        )
-                        current = self._apply_tests(first, candidates)
-                    else:
-                        current = self._record_descendant_root_step(
-                            first, root
-                        )
-                    steps = steps[1:]
+        current = [root if absolute else context or root]
+        for index, step in enumerate(steps):
+            current = self._evaluate_step(step, current,
+                                          absolute and index == 0)
+        return current
+
+    def _evaluate_step(self, step: Step, current: List[XMLNode],
+                       from_root: bool) -> List[XMLNode]:
+        # Predicates are evaluated once per context node, over that
+        # node's own axis result — XPath 1.0 semantics: /a/b/c[1] is
+        # the first c of *each* b, not the first of the merged set.
+        recorder = self.recorder
+        started = time.perf_counter() if recorder is not None else 0.0
+        axis, strategy, reason = self.route(step, from_root)
+        if strategy == POSTINGS_STRATEGY:
+            fetch = functools.partial(self.axes.evaluate_named, axis,
+                                      name_test=step.name_test)
+        elif strategy == "scan" and recorder is not None:
+            fetch = functools.partial(self.axes.evaluate_scan, axis)
         else:
-            current = [context or root]
-        for step in steps:
-            # Predicates are evaluated once per context node, over that
-            # node's own axis result — XPath 1.0 semantics: /a/b/c[1] is
-            # the first c of *each* b, not the first of the merged set.
-            if self.recorder is not None:
-                current = self._record_step(step, current)
-                continue
-            gathered: List[XMLNode] = []
-            for node in current:
-                candidates = self.axes.evaluate(step.axis, node)
-                gathered.extend(self._apply_tests(step, candidates))
-            current = self._dedupe(gathered)
-        return self._dedupe(current)
-
-    # -- EXPLAIN instrumentation (recorder mode only) --------------------
-
-    def _record_step(self, step: Step, current: List[XMLNode]) -> List[XMLNode]:
-        started = time.perf_counter()
-        strategy, reason = self.axes.strategy_for(step.axis)
+            fetch = functools.partial(self.axes.evaluate, axis)
         axis_rows = 0
         gathered: List[XMLNode] = []
         for node in current:
-            if strategy == "scan":
-                candidates = self.axes.evaluate_scan(step.axis, node)
-            else:
-                candidates = self.axes.evaluate(step.axis, node)
+            candidates = fetch(node)
             axis_rows += len(candidates)
-            gathered.extend(self._apply_tests(step, candidates))
+            gathered.extend(apply_node_tests(step, candidates))
         output = self._dedupe(gathered)
-        self.recorder.record_step(
-            step, strategy=strategy, reason=reason,
-            context_size=len(current), axis_rows=axis_rows,
-            actual_rows=len(output),
-            elapsed_s=time.perf_counter() - started,
-        )
+        if recorder is not None:
+            recorder.record_step(
+                step, strategy=strategy, reason=reason,
+                context_size=len(current), axis_rows=axis_rows,
+                actual_rows=len(output),
+                elapsed_s=time.perf_counter() - started,
+            )
         return output
 
-    def _record_root_step(self, first: Step, root: XMLNode) -> List[XMLNode]:
-        started = time.perf_counter()
-        current = self._apply_tests(first, [root])
-        self.recorder.record_step(
-            first, strategy="scan",
-            reason="first step from the virtual document node (root test)",
-            context_size=1, axis_rows=1, actual_rows=len(current),
-            elapsed_s=time.perf_counter() - started,
-        )
-        return current
-
-    def _record_descendant_root_step(self, first: Step,
-                                     root: XMLNode) -> List[XMLNode]:
-        started = time.perf_counter()
-        strategy, reason = self.axes.strategy_for("descendant-or-self")
-        if strategy == "scan":
-            candidates = self.axes.evaluate_scan("descendant-or-self", root)
-        else:
-            candidates = self.axes.evaluate("descendant-or-self", root)
-        current = self._apply_tests(first, candidates)
-        self.recorder.record_step(
-            first, strategy=strategy, reason=reason,
-            context_size=1, axis_rows=len(candidates),
-            actual_rows=len(current),
-            elapsed_s=time.perf_counter() - started,
-        )
-        return current
-
-    # ------------------------------------------------------------------
-
-    def _apply_tests(self, step: Step, nodes: List[XMLNode]) -> List[XMLNode]:
-        return apply_node_tests(step, nodes)
-
     def _dedupe(self, nodes: List[XMLNode]) -> List[XMLNode]:
-        seen = set()
-        unique: List[XMLNode] = []
-        for node in nodes:
-            if node.node_id not in seen:
-                seen.add(node.node_id)
-                unique.append(node)
+        unique = list({node.node_id: node for node in nodes}.values())
         if len(unique) < 2:
             return unique
-        order = {
-            node.node_id: position
-            for position, node in enumerate(self.ldoc.document.labeled_nodes())
-        }
-        return sorted(unique, key=lambda node: order[node.node_id])
+        return sorted(unique, key=self._order_key())
+
+    def _order_key(self) -> Callable[[XMLNode], int]:
+        """Document position of a node: the accelerator's, unless it
+        would refuse; else one walk per :meth:`evaluate` call."""
+        accelerator = self.axes.accelerator
+        if (accelerator is not None
+                and accelerator.explain_state()[0] != "refuse"):
+            return accelerator.order_key()
+        if self._order is None:
+            self._order = {
+                node.node_id: position for position, node
+                in enumerate(self.ldoc.document.labeled_nodes())
+            }
+        order = self._order
+        return lambda node: order[node.node_id]
 
 
 def xpath(ldoc: LabeledDocument, path: str,

@@ -34,8 +34,10 @@ from repro.errors import TransactionError, UpdateError
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import get_tracer
 from repro.updates.operations import (
+    SIBLING_TARGETED,
     OpKind,
     Operation,
+    apply_to_node,
     dispatch_operation,
     element_position,
 )
@@ -266,54 +268,55 @@ class Transaction:
     def insert_before(self, reference: "XMLNode",
                       name: str) -> Optional["UpdateResult"]:
         """Insert a new element immediately before ``reference``."""
-        return self.apply(Operation(
-            kind=OpKind.INSERT_BEFORE,
-            target=self._position(reference, exclude_root=True), name=name,
-        ))
+        return self._apply_at(OpKind.INSERT_BEFORE, reference, name=name)
 
     def insert_after(self, reference: "XMLNode",
                      name: str) -> Optional["UpdateResult"]:
         """Insert a new element immediately after ``reference``."""
-        return self.apply(Operation(
-            kind=OpKind.INSERT_AFTER,
-            target=self._position(reference, exclude_root=True), name=name,
-        ))
+        return self._apply_at(OpKind.INSERT_AFTER, reference, name=name)
 
     def append_child(self, parent: "XMLNode",
                      name: str) -> Optional["UpdateResult"]:
         """Insert a new element as the last child of ``parent``."""
-        return self.apply(Operation(
-            kind=OpKind.APPEND_CHILD, target=self._position(parent),
-            name=name,
-        ))
+        return self._apply_at(OpKind.APPEND_CHILD, parent, name=name)
 
     def prepend_child(self, parent: "XMLNode",
                       name: str) -> Optional["UpdateResult"]:
         """Insert a new element as the first content child of ``parent``."""
-        return self.apply(Operation(
-            kind=OpKind.PREPEND_CHILD, target=self._position(parent),
-            name=name,
-        ))
+        return self._apply_at(OpKind.PREPEND_CHILD, parent, name=name)
 
     def delete(self, node: "XMLNode") -> Optional["UpdateResult"]:
         """Remove ``node`` and its subtree."""
-        return self.apply(Operation(
-            kind=OpKind.DELETE,
-            target=self._position(node, exclude_root=True),
-        ))
+        return self._apply_at(OpKind.DELETE, node)
 
     def set_text(self, element: "XMLNode",
                  text: str) -> Optional["UpdateResult"]:
         """Replace an element's text content."""
-        return self.apply(Operation(
-            kind=OpKind.SET_TEXT, target=self._position(element), text=text,
-        ))
+        return self._apply_at(OpKind.SET_TEXT, element, text=text)
 
     def rename(self, node: "XMLNode", name: str) -> Optional["UpdateResult"]:
         """Rename an element."""
-        return self.apply(Operation(
-            kind=OpKind.RENAME, target=self._position(node), name=name,
-        ))
+        return self._apply_at(OpKind.RENAME, node, name=name)
+
+    def _apply_at(self, kind: OpKind, node: "XMLNode",
+                  **fields: str) -> Optional["UpdateResult"]:
+        """Journal a node-targeted call positionally, then apply it.
+
+        The journalled :class:`Operation` is exactly what :meth:`apply`
+        would journal, and its position resolves back to ``node``; the
+        call goes straight to ``node`` instead of walking the tree again
+        to resolve it (replay and recovery still resolve positions).
+        """
+        operation = Operation(
+            kind=kind,
+            target=self._position(node,
+                                  exclude_root=kind in SIBLING_TARGETED),
+            **fields,
+        )
+        self._require_active()
+        if self._journal is not None:
+            self._journal.append(operation)
+        return apply_to_node(self._ldoc.updates, operation, node)
 
     def _position(self, node: "XMLNode", exclude_root: bool = False) -> int:
         try:

@@ -6,18 +6,18 @@ scans over the document-order index, or the O(n) ``_filter_by_label``
 pass — and until now nothing showed which path ran.  This module is the
 decision-level view: :func:`explain_query` produces a
 :class:`QueryPlan` with one :class:`PlanStep` per location step
-carrying the chosen strategy (``accelerator-window`` / ``plane`` /
-``scan``), the stated reason (stale index, unaccelerated axis, no index
-at all), estimated vs. actual cardinality, context size, and per-step
-wall time.
+carrying the chosen strategy (``accelerator-postings`` /
+``accelerator-window`` / ``plane`` / ``scan``), the stated reason (stale
+index, unaccelerated axis, no index at all), estimated vs. actual
+cardinality, context size, and per-step wall time.
 
 Two modes, mirroring SQL EXPLAIN:
 
 * **plain** — the query is *not* executed.  Step cardinalities chain
   through the :class:`~repro.observability.stats.StatsCollector`
   estimates; strategies reflect the index state at call time.
-* **analyze** — the query runs under an instrumented evaluator (the
-  ``recorder`` hook in :class:`~repro.axes.xpath.XPathEvaluator`).
+* **analyze** — the query runs with the ``recorder`` hook on the one
+  evaluation loop of :class:`~repro.axes.xpath.XPathEvaluator`.
   Actual cardinalities are recorded next to the estimates and fed back
   into the collector's learned selectivities, so the next estimate for
   the same ``(axis, name-test)`` pair is observation-based.  Steps whose
@@ -58,7 +58,7 @@ __all__ = [
 EXPLAIN_SCHEMA_VERSION = 1
 
 #: Every strategy a plan step can report.
-STRATEGIES = ("accelerator-window", "plane", "scan")
+STRATEGIES = ("accelerator-postings", "accelerator-window", "plane", "scan")
 
 
 @dataclass
@@ -129,7 +129,7 @@ class QueryPlan:
         """Plain-text plan for terminals."""
         mode = "analyze" if self.analyze else "plan only"
         lines = [f"EXPLAIN {self.path}  [scheme={self.scheme}, {mode}]"]
-        header = (f"  {'#':>2s} {'step':28s} {'strategy':19s} "
+        header = (f"  {'#':>2s} {'step':28s} {'strategy':20s} "
                   f"{'ctx':>7s} {'est':>9s} {'actual':>7s} {'ms':>7s}  "
                   f"reason")
         lines.append(header)
@@ -146,7 +146,7 @@ class QueryPlan:
                        else f"{step.elapsed_ms:.3f}")
             lines.append(
                 f"  {step.index:2d} {step.axis + '::' + test:28s} "
-                f"{step.strategy:19s} {step.context_size:7.0f} "
+                f"{step.strategy:20s} {step.context_size:7.0f} "
                 f"{step.estimated_rows:9.1f} {actual:>7s} {elapsed:>7s}  "
                 f"{step.reason}")
         summary = f"  => estimated {self.estimated_result:.1f} row(s)"
@@ -258,9 +258,7 @@ def explain_query(ldoc, path: str, accelerator=None,
 def _static_plan(ldoc, path: str, accelerator, stats: StatsCollector,
                  relative_context: bool):
     """Chain cardinality estimates through the steps without executing."""
-    from repro.axes.evaluator import AxisEvaluator
-
-    axes = AxisEvaluator(ldoc, allow_fallback=True, accelerator=accelerator)
+    router = XPathEvaluator(ldoc, accelerator=accelerator)
     branches = split_union(path)
     steps_out: List[PlanStep] = []
     estimated_result = 0.0
@@ -270,19 +268,13 @@ def _static_plan(ldoc, path: str, accelerator, stats: StatsCollector,
         branch_estimate = 1.0 if not steps else 0.0
         for position, step in enumerate(steps):
             first_of_absolute = absolute and position == 0
+            _axis, strategy, reason = router.route(step, first_of_absolute)
             if first_of_absolute and step.axis == "child":
                 # The virtual document node has exactly one child.
-                strategy, reason = (
-                    "scan",
-                    "first step from the virtual document node (root test)")
                 root = ldoc.document.root
                 estimated = 1.0 if root is not None and step.name_test in (
                     "*", root.name) else 0.0
             else:
-                strategy, reason = axes.strategy_for(
-                    "descendant-or-self"
-                    if first_of_absolute and step.axis == "descendant"
-                    else step.axis)
                 estimated = stats.estimate_step(
                     step.axis, step.name_test, context_estimate,
                     from_root=first_of_absolute)

@@ -40,6 +40,9 @@ class StructuralDelta:
       grafts and moves publish one insert per node, in preorder);
     * ``"delete"`` — the subtree rooted at ``node_id`` was detached;
       ``removed_ids`` lists every labelled-kind node id that went with it;
+    * ``"rename"`` — ``node`` (an element or attribute) was renamed from
+      ``old_name``; no node moved and no label changed, so the
+      structure version does not advance either;
     * ``"relabel"`` — ``count`` existing nodes changed label without any
       node changing document-order position;
     * ``"rebuild"`` — the label space was replaced wholesale (batch
@@ -56,6 +59,7 @@ class StructuralDelta:
     node: Optional[XMLNode] = None
     node_id: Optional[int] = None
     removed_ids: Optional[List[int]] = None
+    old_name: Optional[str] = None
     count: int = 0
     reason: str = ""
     structure_version: int = 0
@@ -193,6 +197,11 @@ class LabeledDocument:
             self._publish(StructuralDelta(
                 kind="delete", node_id=node_id, removed_ids=removed_ids
             ))
+
+    def _publish_rename(self, node: XMLNode, old_name: str) -> None:
+        if self._delta_listeners:
+            self._publish(StructuralDelta(kind="rename", node=node,
+                                          old_name=old_name))
 
     def _publish_relabel(self, count: int) -> None:
         if self._delta_listeners:
@@ -610,8 +619,9 @@ class LabeledDocument:
     def _do_rename(self, node: XMLNode, name: str) -> UpdateResult:
         if not node.kind.is_labeled:
             raise UpdateError("rename targets element or attribute nodes")
-        node.name = name
+        old_name, node.name = node.name, name
         self.log.record("content_updates")
+        self._publish_rename(node, old_name)
         return UpdateResult(kind="content", node=node,
                             label=self.labels.get(node.node_id))
 

@@ -30,6 +30,12 @@ class OpKind(enum.Enum):
     RENAME = "rename"
 
 
+#: Kinds that target a sibling position, so never the root element.
+SIBLING_TARGETED = frozenset(
+    (OpKind.INSERT_BEFORE, OpKind.INSERT_AFTER, OpKind.DELETE)
+)
+
+
 @dataclass(frozen=True)
 class Operation:
     """One abstract update step.
@@ -117,19 +123,27 @@ def dispatch_operation(surface, ldoc: LabeledDocument, operation: Operation):
     :class:`~repro.updates.results.UpdateResult`, or ``None`` when the
     document has no node at the requested position.
     """
-    kind = operation.kind
-    if kind in (OpKind.INSERT_BEFORE, OpKind.INSERT_AFTER, OpKind.DELETE):
-        node = _element_at(ldoc, operation.target, exclude_root=True)
-        if node is None:
-            return None
-        if kind is OpKind.INSERT_BEFORE:
-            return surface.insert_before(node, operation.name)
-        if kind is OpKind.INSERT_AFTER:
-            return surface.insert_after(node, operation.name)
-        return surface.delete(node)
-    node = _element_at(ldoc, operation.target)
+    node = _element_at(ldoc, operation.target,
+                       exclude_root=operation.kind in SIBLING_TARGETED)
     if node is None:
         return None
+    return apply_to_node(surface, operation, node)
+
+
+def apply_to_node(surface, operation: Operation, node: XMLNode):
+    """Run one operation against ``surface`` on an already-resolved target.
+
+    The second half of :func:`dispatch_operation`, for callers that hold
+    the node ``operation.target`` resolves to (a transaction journalling
+    a node-targeted call) and need not walk the tree to find it again.
+    """
+    kind = operation.kind
+    if kind is OpKind.INSERT_BEFORE:
+        return surface.insert_before(node, operation.name)
+    if kind is OpKind.INSERT_AFTER:
+        return surface.insert_after(node, operation.name)
+    if kind is OpKind.DELETE:
+        return surface.delete(node)
     if kind is OpKind.APPEND_CHILD:
         return surface.append_child(node, operation.name)
     if kind is OpKind.PREPEND_CHILD:

@@ -7,16 +7,31 @@ detached one refuses with :class:`StaleIndexError` instead of serving
 stale windows.
 """
 
+import random
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from conftest import all_scheme_names, fresh_random_document, labeled
 from repro.axes.accelerator import ACCELERATED_AXES, AxisAccelerator
 from repro.axes.evaluator import AxisEvaluator
+from repro.axes.xpath import xpath
 from repro.errors import StaleIndexError
 from repro.store.repository import open_repository
 from repro.xmlmodel.parser import parse
+from repro.xmlmodel.serializer import serialize
+from repro.xmlmodel.xmark import xmark_document
 
 AXES = sorted(ACCELERATED_AXES)
+
+#: Name-tested descendant paths (the postings route) over XMark.
+XMARK_PATHS = (
+    "//item/name",
+    "/site//bidder",
+    "//person[2]",
+    "//person[@id='person3']/name",
+    "//bidder | //increase",
+)
 
 
 def ids(nodes):
@@ -34,6 +49,93 @@ def assert_equivalent(ldoc, accelerator, limit=None):
             expected = ids(scan.evaluate(axis, node))
             got = ids(fast.evaluate(axis, node))
             assert got == expected, (axis, node.name, expected, got)
+
+
+def named(ldoc, name):
+    return [node for node in ldoc.document.labeled_nodes()
+            if node.name == name]
+
+
+def seeded_xmark_updates(ldoc, accelerator, seed=5):
+    """A rolled-back transaction, then insert, delete, move and rename.
+
+    A query after the rollback rebuilds the index, so the later updates
+    reach it as splices and rename deltas.
+
+    Persons stay under ``people``, so ``//person[2]`` means the same in
+    the mini XPath (second person of the descendant set) and in
+    ElementTree (second person child of its parent).
+    """
+    rng = random.Random(seed)
+    updates = ldoc.updates
+    with pytest.raises(RuntimeError):
+        with ldoc.transaction():
+            updates.rename(rng.choice(named(ldoc, "bidder")), "increase")
+            updates.delete(rng.choice(named(ldoc, "person")))
+            updates.append_child(rng.choice(named(ldoc, "item")), "name")
+            raise RuntimeError("abort")
+    assert xpath(ldoc, "//bidder", accelerator=accelerator)
+    assert not accelerator.stale
+    auctions = named(ldoc, "open_auction")
+    updates.append_child(auctions[0], "bidder")
+    anchor = rng.choice(named(ldoc, "item"))
+    fresh = updates.insert_before(anchor, "item").node
+    updates.append_child(fresh, "name")
+    updates.delete(rng.choice([item for item in named(ldoc, "item")
+                               if item is not fresh]))
+    bidder = rng.choice(named(ldoc, "bidder"))
+    target = rng.choice([auction for auction in auctions
+                         if auction is not bidder.parent])
+    updates.move(bidder, target, len(target.children))
+    updates.rename(rng.choice(named(ldoc, "bidder")), "increase")
+    updates.rename(rng.choice(named(ldoc, "increase")), "bidder")
+    updates.rename(rng.choice(named(ldoc, "description")), "name")
+    person = named(ldoc, "person")[3]
+    updates.rename(next(child for child in person.labeled_children()
+                        if child.name == "name"), "nickname")
+    updates.rename(next(child for child in person.labeled_children()
+                        if child.name == "emailaddress"), "name")
+
+
+def assert_postings_match_windows(ldoc, accelerator):
+    """Every postings slice equals its subtree window, name-filtered."""
+    contexts = [ldoc.document.root] + [
+        node for node in ldoc.document.labeled_nodes()
+        if node.name in ("regions", "open_auction", "item", "person")
+    ]
+    for node in contexts:
+        window = accelerator.evaluate("descendant", node)
+        for name in ("bidder", "increase", "item", "name", "nickname"):
+            expected = [other for other in window
+                        if other.is_element and other.name == name]
+            got = accelerator.named_descendants("descendant", node, name)
+            assert ids(got) == ids(expected), (node.name, name)
+
+
+def element_oracle(ldoc, path):
+    """``path`` evaluated by ElementTree over the serialized document."""
+    root = ET.fromstring(serialize(ldoc.document))
+    order = {id(element): index for index, element in enumerate(root.iter())}
+    found = {}
+    for branch in path.split("|"):
+        branch = branch.strip()
+        relative = ("." + branch if branch.startswith("//")
+                    else "." + branch[len("/site"):])
+        for element in root.findall(relative):
+            found[id(element)] = element
+    return [
+        (element.tag, (element.text or "") + "".join(
+            child.tail or "" for child in element),
+         tuple(element.attrib.items()))
+        for element in sorted(found.values(),
+                              key=lambda element: order[id(element)])
+    ]
+
+
+def signatures(nodes):
+    return [(node.name, node.text_value(),
+             tuple((attr.name, attr.value) for attr in node.attributes()))
+            for node in nodes]
 
 
 def small_ldoc(scheme_name="dewey"):
@@ -80,6 +182,22 @@ class TestEquivalenceAcrossSchemes:
             batch.insert_before(first, "head")
         assert_equivalent(ldoc, accelerator, limit=20)
 
+    @pytest.mark.parametrize("path", XMARK_PATHS)
+    def test_xmark_name_paths_after_seeded_updates(self, scheme_name, path):
+        # Postings route vs scan vs a label-free ElementTree oracle.
+        ldoc = labeled(xmark_document(scale=0.25, seed=3), scheme_name)
+        accelerator = AxisAccelerator(ldoc)
+        builds = accelerator._metric_builds.value
+        seeded_xmark_updates(ldoc, accelerator)
+        accelerated = xpath(ldoc, path, accelerator=accelerator)
+        scanned = xpath(ldoc, path)
+        assert ids(accelerated) == ids(scanned)
+        assert signatures(accelerated) == element_oracle(ldoc, path)
+        assert accelerated
+        assert_postings_match_windows(ldoc, accelerator)
+        # One rebuild, after the rollback; everything later was spliced.
+        assert accelerator._metric_builds.value == builds + 1
+
 
 class TestIncrementalMaintenance:
     def test_insert_splices_without_rebuild(self):
@@ -114,6 +232,52 @@ class TestIncrementalMaintenance:
         )
         ldoc.updates.move(node, target, len(target.children))
         assert_equivalent(ldoc, accelerator)
+
+    def test_rename_moves_postings_without_rebuild(self):
+        ldoc = small_ldoc()
+        accelerator = AxisAccelerator(ldoc)
+        builds = accelerator._metric_builds.value
+        first_c = named(ldoc, "c")[0]
+        ldoc.updates.rename(first_c, "renamed")
+        assert xpath(ldoc, "//renamed", accelerator=accelerator) == [first_c]
+        assert ids(xpath(ldoc, "//c", accelerator=accelerator)) == \
+            ids(xpath(ldoc, "//c"))
+        assert accelerator._metric_builds.value == builds
+
+    def test_batch_rename_moves_postings_without_rebuild(self):
+        ldoc = small_ldoc()
+        accelerator = AxisAccelerator(ldoc)
+        builds = accelerator._metric_builds.value
+        doomed = named(ldoc, "d")[0]
+        with ldoc.batch() as batch:
+            batch.rename(doomed, "renamed")
+            batch.rename(named(ldoc, "c")[1], "renamed")
+        assert ids(xpath(ldoc, "//renamed", accelerator=accelerator)) == \
+            ids(xpath(ldoc, "//renamed"))
+        assert len(xpath(ldoc, "/a//renamed", accelerator=accelerator)) == 2
+        assert accelerator._metric_builds.value == builds
+
+    def test_rename_of_pending_node_lands_in_postings(self):
+        # The deferred node is off the index when renamed; the batch's
+        # rebuild picks it up under its new name.
+        ldoc = small_ldoc()
+        accelerator = AxisAccelerator(ldoc)
+        first = next(iter(ldoc.document.root.labeled_children()))
+        with ldoc.batch() as batch:
+            head = batch.insert_before(first, "head").node
+            batch.rename(head, "renamed")
+        assert xpath(ldoc, "//renamed", accelerator=accelerator) == [head]
+        assert xpath(ldoc, "//head", accelerator=accelerator) == []
+
+    def test_detached_index_keeps_no_postings(self):
+        ldoc = small_ldoc()
+        accelerator = AxisAccelerator(ldoc, attach=False)
+        ldoc.updates.rename(named(ldoc, "d")[0], "renamed")
+        assert not accelerator.stale
+        assert len(xpath(ldoc, "//renamed", accelerator=accelerator)) == 1
+        route = AxisEvaluator(ldoc, accelerator=accelerator).strategy_for(
+            "descendant-or-self", "renamed")
+        assert route[0] == "accelerator-window"
 
     def test_batch_apply_rebuilds_lazily(self):
         ldoc = small_ldoc()

@@ -44,6 +44,49 @@ def journalled_workload(tmp_path, scheme_name, sync="commit"):
 
 
 class TestRoundTrip:
+    #: The transaction lines every node-targeted method journals: the
+    #: operation is applied to the node in hand, but the bytes are the
+    #: positional records replay resolves.
+    GOLDEN_TRANSACTION = (
+        b'{"type":"begin","txn":1}\n'
+        b'{"type":"op","txn":1,"kind":"append-child","target":4,'
+        b'"name":"book","text":""}\n'
+        b'{"type":"op","txn":1,"kind":"insert-before","target":2,'
+        b'"name":"pamphlet","text":""}\n'
+        b'{"type":"op","txn":1,"kind":"insert-after","target":0,'
+        b'"name":"annex","text":""}\n'
+        b'{"type":"op","txn":1,"kind":"prepend-child","target":0,'
+        b'"name":"catalogue","text":""}\n'
+        b'{"type":"op","txn":1,"kind":"set-text","target":3,"name":"op",'
+        b'"text":"Moby Dick"}\n'
+        b'{"type":"op","txn":1,"kind":"rename","target":7,'
+        b'"name":"stack","text":""}\n'
+        b'{"type":"op","txn":1,"kind":"delete","target":4,"name":"op",'
+        b'"text":""}\n'
+        b'{"type":"commit","txn":1}\n'
+    )
+
+    def test_transaction_journal_bytes_unchanged(self, tmp_path):
+        ldoc = labeled(parse(SAMPLE), "dewey")
+        path = tmp_path / "doc.journal"
+        journal = Journal.create(path, ldoc)
+        with ldoc.transaction(journal=journal) as txn:
+            root = ldoc.document.root
+            first, second = root.element_children()
+            txn.append_child(second, "book")
+            txn.insert_before(first.element_children()[1], "pamphlet")
+            txn.insert_after(first, "annex")
+            txn.prepend_child(root, "catalogue")
+            txn.set_text(first.element_children()[0], "Moby Dick")
+            txn.rename(second, "stack")
+            txn.delete(first.element_children()[-1])
+        journal.close()
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert b"".join(lines[1:]) == self.GOLDEN_TRANSACTION
+        result = recover(path)
+        assert serialize(result.ldoc.document) == serialize(ldoc.document)
+        assert label_stream(result.ldoc) == label_stream(ldoc)
+
     @pytest.mark.parametrize("scheme_name", supported_codec_schemes())
     def test_recovery_is_bit_identical(self, tmp_path, scheme_name):
         ldoc, path = journalled_workload(tmp_path, scheme_name)

@@ -37,14 +37,23 @@ def xmark(scheme="qed", scale=0.1, seed=1):
 
 class TestStrategyRouting:
     def test_accelerated_axes_report_window_strategy(self):
+        # Name-tested descendant steps slice the postings; every other
+        # accelerated step is a window scan.
         ldoc = xmark()
         accelerator = AxisAccelerator(ldoc)
-        for path in ("//item", "//item/following::item",
-                     "//bidder/preceding::bidder"):
+        expected = {
+            "//item": ["accelerator-postings"],
+            "//item/following::item": ["accelerator-postings",
+                                       "accelerator-window"],
+            "//bidder/preceding::bidder": ["accelerator-postings",
+                                           "accelerator-window"],
+            "/site//*": ["scan", "accelerator-window"],
+        }
+        for path, strategies in expected.items():
             plan = explain_query(ldoc, path, accelerator=accelerator,
                                  analyze=True)
-            strategies = {step.strategy for step in plan.steps}
-            assert strategies == {"accelerator-window"}, (path, strategies)
+            got = [step.strategy for step in plan.steps]
+            assert got == strategies, (path, got)
 
     def test_no_accelerator_reports_scan_with_reason(self):
         ldoc = library()
@@ -75,7 +84,7 @@ class TestStrategyRouting:
         plan = explain_query(ldoc, "//book/attribute::missing",
                              accelerator=accelerator, analyze=True)
         by_axis = {step.axis: step for step in plan.steps}
-        assert by_axis["descendant"].strategy == "accelerator-window"
+        assert by_axis["descendant"].strategy == "accelerator-postings"
         assert by_axis["attribute"].strategy == "scan"
         assert "not accelerated" in by_axis["attribute"].reason
 
@@ -103,6 +112,34 @@ class TestAnalyzeActuals:
         assert final.actual_rows == plan.result_count
         assert final.elapsed_ms is not None
         assert plan.total_ms is not None
+
+    def test_postings_route_reports_slice_length(self):
+        ldoc = xmark()
+        accelerator = AxisAccelerator(ldoc)
+        plan = explain_query(ldoc, "//item/name", accelerator=accelerator,
+                             analyze=True)
+        first, second = plan.steps
+        assert first.strategy == "accelerator-postings"
+        items = [node for node in ldoc.document.labeled_nodes()
+                 if node.name == "item"]
+        assert first.axis_rows == first.actual_rows == len(items)
+        assert second.strategy == "accelerator-window"
+        assert plan.result_count == len(xpath(ldoc, "//item/name"))
+
+    def test_cli_analyze_shows_postings_strategy(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.xmlmodel.serializer import serialize
+
+        source = tmp_path / "xmark.xml"
+        source.write_text(serialize(xmark_document(scale=0.1, seed=7)))
+        assert main(["explain", str(source), "//item/name", "--scheme",
+                     "qed", "--analyze", "--json"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert [step["strategy"] for step in plan["steps"]] == [
+            "accelerator-postings", "accelerator-window"]
+        ldoc = LabeledDocument(parse(source.read_text()), make_scheme("qed"))
+        assert plan["result_count"] == len(xpath(ldoc, "//item/name"))
+        assert plan["steps"][0]["axis_rows"] == len(xpath(ldoc, "//item"))
 
     def test_union_actuals_sum_to_result(self):
         ldoc = library()
@@ -177,7 +214,7 @@ class TestPlanPayload:
                              analyze=True)
         text = plan.render()
         assert "EXPLAIN //book" in text
-        assert "accelerator-window" in text
+        assert "accelerator-postings" in text
         assert "=> estimated" in text
         assert "actual 3" in text
 
@@ -189,9 +226,11 @@ class TestPlanPayload:
         before_acc = registry.counter("explain.steps_accelerated").value
         ldoc = library()
         explain_query(ldoc, "//book")  # no accelerator -> scan
-        explain_query(ldoc, "//book",
-                      accelerator=AxisAccelerator(ldoc))
         assert registry.counter("explain.steps_scan").value > before_scan
+        scanned = registry.counter("explain.steps_scan").value
+        explain_query(ldoc, "//book",  # postings count as accelerated
+                      accelerator=AxisAccelerator(ldoc))
+        assert registry.counter("explain.steps_scan").value == scanned
         assert registry.counter("explain.steps_accelerated").value > \
             before_acc
 
