@@ -55,8 +55,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import StaleIndexError, UnsupportedRelationshipError
 from repro.observability.metrics import get_registry
-from repro.observability.ops import get_oplog
-from repro.observability.tracing import get_tracer
+from repro.observability.ops import get_oplog, instrumented
 from repro.updates.document import LabeledDocument, StructuralDelta
 from repro.xmlmodel.tree import NodeKind, XMLNode
 
@@ -138,22 +137,10 @@ class AxisAccelerator:
 
     def refresh(self) -> None:
         """Rebuild the whole index from the document and resync the stamp."""
-        tracer = get_tracer()
-        oplog = get_oplog()
-        if not tracer.enabled and not oplog.enabled:
+        with instrumented("accelerator.build",
+                          scheme=self.ldoc.scheme.metadata.name) as scope:
             self._build()
-            return
-        with oplog.op("accelerator.build",
-                      scheme=self.ldoc.scheme.metadata.name) as op:
-            if tracer.enabled:
-                with tracer.span("accelerator.build",
-                                 scheme=self.ldoc.scheme.metadata.name) as span:
-                    self._build()
-                    span.set_attribute("nodes", len(self._nodes))
-                    op.link(span)
-            else:
-                self._build()
-            op.set(nodes=len(self._nodes))
+            scope.set(nodes=len(self._nodes))
 
     def _build(self) -> None:
         # Nodes a batch has deferred are structurally present but carry
@@ -269,16 +256,15 @@ class AxisAccelerator:
         """Fold one structural change into the index."""
         if not self._dirty:
             if delta.kind in ("insert", "delete"):
-                oplog = get_oplog()
-                if not oplog.enabled:
-                    self._apply_splice(delta)
-                else:
-                    with oplog.op("accelerator.splice",
-                                  scheme=self.ldoc.scheme.metadata.name
-                                  ) as op:
-                        self._apply_splice(delta)
-                        op.set(nodes=1 + len(delta.removed_ids or ()),
-                               kind=delta.kind)
+                with instrumented("accelerator.splice",
+                                  scheme=self.ldoc.scheme.metadata.name,
+                                  kind=delta.kind) as scope:
+                    if delta.kind == "insert":
+                        self._splice_insert(delta.node)
+                    else:
+                        self._splice_delete(delta.node_id,
+                                            delta.removed_ids or [])
+                    scope.set(nodes=1 + len(delta.removed_ids or ()))
             elif delta.kind == "rename":
                 self._on_rename(delta.node, delta.old_name)
             elif delta.kind == "relabel":
@@ -286,12 +272,6 @@ class AxisAccelerator:
             else:  # rebuild
                 self._dirty = True
         self._stamp = delta.structure_version
-
-    def _apply_splice(self, delta: StructuralDelta) -> None:
-        if delta.kind == "insert":
-            self._splice_insert(delta.node)
-        else:
-            self._splice_delete(delta.node_id, delta.removed_ids or [])
 
     def _splice_insert(self, node: XMLNode) -> None:
         """Insert one freshly labelled node at its document-order position.

@@ -24,7 +24,8 @@ its currency.  This package turns those measurements into two layers:
 * a structured **operations log** (:mod:`repro.observability.ops`) —
   a bounded ring of typed per-operation events with outcome, duration
   and trace correlation, behind the same zero-cost-when-disabled
-  switch as the tracer;
+  switch as the tracer; hot paths feed it and the tracer together
+  through one :func:`~repro.observability.ops.instrumented` scope;
 * a **health watchdog** (:mod:`repro.observability.health`) — pluggable
   probes reading the metrics snapshot and the op-log, aggregated into
   one ok/warn/critical document behind ``python -m repro health``;
@@ -96,6 +97,7 @@ from repro.observability.ops import (
     OpLog,
     configure_oplog,
     get_oplog,
+    instrumented,
     oplog_enabled,
     render_oplog,
 )
@@ -188,6 +190,7 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "health_from_snapshot",
+    "instrumented",
     "load_baseline",
     "load_collapsed",
     "load_run",

@@ -12,12 +12,13 @@ type, and the trace span it correlates with when tracing is on.
 
 Design constraints, matching :mod:`repro.observability.tracing`:
 
-* **Disabled logging must cost nothing.**  Hot paths keep the
-  ``*_core`` split discipline: the wrapper checks ``tracer.enabled``
-  *and* ``oplog.enabled`` and jumps straight to the ``*_core`` twin
-  when both are off — no event object, no timestamps, no allocation.
-  :meth:`OpLog.op` returns one shared no-op scope when disabled, so
-  mid-hot-path call sites never branch twice.
+* **Disabled logging must cost nothing.**  Hot paths open one
+  :func:`instrumented` scope per operation; while the tracer *and* the
+  op-log are both off it returns one shared no-op scope — no event
+  object, no span, no timestamps.  When either sink is on, the
+  same scope opens the op event and the trace span under one ``kind``,
+  links them, and feeds both from one :meth:`set` call, so a hot path
+  never wires the two sinks by hand.
 * **Bounded memory.**  The ring holds the most recent ``capacity``
   events; the oldest are evicted and only counted
   (``ops.evicted``), never resurrected.  Monotonic counters
@@ -48,12 +49,14 @@ from repro.observability.metrics import (
     MetricsRegistry,
     get_registry,
 )
+from repro.observability.tracing import get_tracer
 
 __all__ = [
     "OpEvent",
     "OpLog",
     "get_oplog",
     "configure_oplog",
+    "instrumented",
     "iso_ts",
     "oplog_enabled",
     "render_oplog",
@@ -118,7 +121,8 @@ class OpEvent:
 
 
 class _NoopOpScope:
-    """Shared do-nothing scope returned while the op-log is disabled.
+    """Shared do-nothing scope returned while the op-log is disabled
+    (and by :func:`instrumented` while the tracer is off too).
 
     Mirrors ``_NoopSpan`` in the tracing module: one instance serves
     every disabled call site, and entering/exiting/attributing it are
@@ -126,6 +130,9 @@ class _NoopOpScope:
     """
 
     __slots__ = ()
+
+    #: Tracing-only extras (per-scheme histograms) gate on this.
+    tracing = False
 
     def __enter__(self) -> "_NoopOpScope":
         return self
@@ -244,9 +251,12 @@ class OpLog:
            scheme: Optional[str] = None):
         """A context manager recording one operation; no-op when disabled::
 
-            with oplog.op("batch.apply", scheme=scheme.name) as op:
-                result = batch._apply_core()
-                op.set(nodes=result.operations)
+            with oplog.op("cli.import", document=name) as op:
+                count = load(path)
+                op.set(nodes=count)
+
+        Hot paths use :func:`instrumented` instead, which opens the
+        matching trace span too.
         """
         if not self.enabled:
             return _NOOP_OP
@@ -287,10 +297,7 @@ class OpLog:
                 attributes=dict(keep_attributes or {}),
             )
             self._events.append(event)
-            if len(self._events) > self.capacity:
-                evicted = len(self._events) - self.capacity
-                del self._events[:evicted]
-                self._evicted.increment(evicted)
+            self._trim()
             histogram = self._kind_histograms.get(kind)
             if histogram is None:
                 histogram = self._registry.histogram(f"ops.{kind}.ms")
@@ -304,6 +311,14 @@ class OpLog:
         if slow:
             self._slow.increment()
         return event
+
+    def _trim(self) -> None:
+        """Evict (and count) the oldest events past ``capacity``."""
+        with self._lock:
+            excess = len(self._events) - self.capacity
+            if excess > 0:
+                del self._events[:excess]
+                self._evicted.increment(excess)
 
     # -- reading ----------------------------------------------------------
 
@@ -403,10 +418,7 @@ def configure_oplog(enabled: bool = True,
             raise ValueError("op-log capacity must be >= 1")
         with oplog._lock:
             oplog.capacity = capacity
-            if len(oplog._events) > capacity:
-                evicted = len(oplog._events) - capacity
-                del oplog._events[:evicted]
-                oplog._evicted.increment(evicted)
+            oplog._trim()
     if slow_threshold_s is not None:
         oplog.slow_threshold_s = slow_threshold_s
     oplog.enabled = enabled
@@ -443,8 +455,86 @@ class oplog_enabled:
         return oplog
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        oplog = _GLOBAL_OPLOG
-        (oplog.enabled, oplog.capacity, oplog.slow_threshold_s) = self._saved
+        enabled, capacity, slow_threshold_s = self._saved
+        configure_oplog(enabled=enabled, capacity=capacity,
+                        slow_threshold_s=slow_threshold_s)
+
+
+# ----------------------------------------------------------------------
+# The instrumentation point
+# ----------------------------------------------------------------------
+
+#: The process-wide tracer (a singleton that is reconfigured, never
+#: replaced), bound once so the disabled check is two attribute reads.
+_TRACER = get_tracer()
+
+
+class _InstrumentedScope:
+    """One operation as both sinks see it: an op event and a span.
+
+    Either half may be its sink's shared no-op.  The op event opens
+    first and closes last, so its duration covers the span's; the span
+    is linked to the event on entry.  An exception marks the span with
+    the error, records ``outcome="error"`` with the exception type on
+    the event, and propagates.
+    """
+
+    __slots__ = ("tracing", "_op", "_span_scope", "_span")
+
+    def __init__(self, oplog: OpLog, kind: str, document: Optional[str],
+                 scheme: Optional[str], attributes: Dict[str, Any]):
+        self.tracing = _TRACER.enabled
+        self._op = oplog.op(kind, document=document, scheme=scheme)
+        self._op.set(**attributes)
+        fields = {}
+        if document is not None:
+            fields["document"] = document
+        if scheme is not None:
+            fields["scheme"] = scheme
+        self._span_scope = _TRACER.span(kind, **fields, **attributes)
+        self._span: Any = None
+
+    def __enter__(self) -> "_InstrumentedScope":
+        self._op.__enter__()
+        self._span = self._span_scope.__enter__()
+        self._op.link(self._span)
+        return self
+
+    def set(self, nodes: Optional[int] = None,
+            outcome: Optional[str] = None, **attributes: Any) -> None:
+        """Report node counts and attributes to both sinks; ``outcome``
+        (``"rollback"``) is the op event's alone."""
+        self._op.set(nodes=nodes, outcome=outcome, **attributes)
+        if nodes is not None:
+            self._span.set_attribute("nodes", nodes)
+        for key, value in attributes.items():
+            self._span.set_attribute(key, value)
+
+    def __exit__(self, exc_type, exc_value, traceback) -> bool:
+        self._span_scope.__exit__(exc_type, exc_value, traceback)
+        self._op.__exit__(exc_type, exc_value, traceback)
+        return False
+
+
+def instrumented(kind: str, /, document: Optional[str] = None,
+                 scheme: Optional[str] = None, **attributes: Any):
+    """The one instrumentation point for a timed hot-path operation::
+
+        with instrumented("document.delete", scheme=name) as scope:
+            result = remove(node)
+            scope.set(nodes=result.nodes_detached)
+
+    Opens the trace span and the op event under the same ``kind``
+    (``document``/``scheme`` become event fields and span attributes;
+    ``attributes`` go to both).  While the tracer and the op-log are
+    both off this returns one shared no-op scope.  ``scope.tracing``
+    tells tracing-only extras, such as the per-scheme ``label_bits``
+    histogram, whether the tracer is on.
+    """
+    oplog = _GLOBAL_OPLOG
+    if not oplog.enabled and not _TRACER.enabled:
+        return _NOOP_OP
+    return _InstrumentedScope(oplog, kind, document, scheme, attributes)
 
 
 def render_oplog(oplog: Optional[OpLog] = None, limit: int = 20) -> str:

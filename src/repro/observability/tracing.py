@@ -13,11 +13,15 @@ anonymous contributions to a flat total.
 
 Design constraints, in order:
 
-* **Disabled tracing must cost nothing.**  Every instrumented call site
-  runs ``tracer.span(...)`` unconditionally; when the tracer is disabled
-  (the default) that returns one shared no-op object whose ``__enter__``
-  / ``__exit__`` / ``set_attribute`` are empty ``__slots__`` methods.
-  The overhead bound is asserted in the test suite.
+* **Disabled tracing must cost nothing.**  ``tracer.span(...)`` on a
+  disabled tracer (the default) returns one shared no-op object whose
+  ``__enter__`` / ``__exit__`` / ``set_attribute`` are empty
+  ``__slots__`` methods.  The update, durability, storage and axis hot
+  paths do not call it directly: they open one
+  :func:`~repro.observability.ops.instrumented` scope, which opens the
+  span and the matching op-log event together and is itself one shared
+  no-op while both are off.  Both overhead bounds are asserted in the
+  test suite.
 * **Head-based sampling.**  The keep/drop decision is made once, when a
   *root* span starts; a dropped root suppresses its whole subtree, so a
   sampled trace is always structurally complete.  Samplers are seeded
@@ -353,8 +357,8 @@ class JSONLinesSpanExporter:
 class Tracer:
     """Process-wide span factory with an explicit on/off switch.
 
-    Instrumented code calls :meth:`span` unconditionally and the tracer
-    decides whether that costs anything: disabled → the shared no-op
+    Callers open spans unconditionally and the tracer decides whether
+    that costs anything: disabled → the shared no-op
     span; enabled but head-sampled out → a suppression scope; otherwise
     a recording :class:`Span` parented under the current one.
 

@@ -33,8 +33,9 @@ ARITHMETIC_SCOPE = ("repro.schemes.", "repro.labels.", "repro.strategies.")
 MUTATION_SCOPE = ("repro.updates.", "repro.durability.", "repro.schemes.",
                   "repro.xmlmodel.", "repro.store.")
 
-#: Modules whose span usage must follow the enabled-check ``*_core`` split.
-TRACED_HOT_SCOPE = ("repro.updates.",)
+#: Hot-path modules whose telemetry goes through ``instrumented`` only.
+INSTRUMENTED_SCOPE = ("repro.updates.", "repro.durability.", "repro.store.",
+                      "repro.axes.")
 
 _METRIC_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 _METRIC_PREFIX_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*\.$")
@@ -298,42 +299,39 @@ class NakedMutationRule:
                         )
 
 
-class TracedCoreSplitRule:
-    """REP005: hot-path tracing must follow the enabled-check split.
+class InstrumentedOnlyRule:
+    """REP005: hot-path modules emit telemetry only through ``instrumented``.
 
-    In ``repro.updates``, a function that opens spans must gate on
-    ``tracer.enabled`` and delegate the real work to a ``*_core`` twin
-    (the PR 3 convention that keeps the untraced path allocation-free);
-    and a ``*_core`` function must never touch tracer machinery itself.
+    In the update, durability, storage and axis packages every timed
+    operation opens one :func:`~repro.observability.ops.instrumented`
+    scope, which feeds the trace span and the op event together and is
+    one shared no-op while both are off.  A direct ``tracer.span(...)``
+    or ``oplog.op(...)`` there wires a sink by hand again (and needs a
+    hand-written gate to stay free).  Point events (``oplog.record``)
+    are not timed operations and stay allowed.
     """
 
     id = "REP005"
-    name = "traced-core-split"
+    name = "instrumented-only"
     severity = "error"
-    description = ("span-opening update functions need the enabled-check "
-                   "*_core split; *_core functions must stay trace-free")
+    description = ("hot-path modules emit telemetry only through "
+                   "instrumented(); no direct tracer.span / oplog.op")
+
+    _DIRECT = ("span", "op")
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         for module in ctx.project.modules.values():
-            for function in module.functions.values():
-                facts = ctx.graph.facts(function)
-                if (ctx.in_scope(module, TRACED_HOT_SCOPE)
-                        and facts.span_calls
-                        and not facts.references_enabled):
+            if not ctx.in_scope(module, INSTRUMENTED_SCOPE):
+                continue
+            for node in ast.walk(module.tree):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in self._DIRECT):
                     yield ctx.finding(
-                        self, module, function.lineno,
-                        function.node.col_offset,
-                        f"{function.qualname} opens spans without checking "
-                        f"tracer.enabled; split the work into a *_core "
-                        f"twin behind the gate",
-                    )
-                if function.name.endswith("_core") and facts.tracer_calls:
-                    yield ctx.finding(
-                        self, module, facts.tracer_calls[0],
-                        function.node.col_offset,
-                        f"{function.qualname} is a *_core function but "
-                        f"calls tracer machinery; keep the traced half in "
-                        f"the wrapper",
+                        self, module, node.lineno, node.col_offset,
+                        f".{node.func.attr}(...) in a hot-path module; "
+                        f"open an instrumented() scope, which feeds the "
+                        f"span and the op event together",
                     )
 
 
@@ -677,7 +675,7 @@ ALL_RULES: List[Rule] = [
     FloatEqualityRule(),
     OverbroadExceptRule(),
     NakedMutationRule(),
-    TracedCoreSplitRule(),
+    InstrumentedOnlyRule(),
     MetricNameRule(),
     ExportDriftRule(),
     MutableDefaultRule(),

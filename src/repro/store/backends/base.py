@@ -26,8 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import BackendLockedError, StorageError
 from repro.observability.metrics import get_registry
-from repro.observability.ops import get_oplog
-from repro.observability.tracing import get_tracer
+from repro.observability.ops import instrumented
 from repro.store.snapshots import Snapshot, restore_snapshot
 from repro.updates.document import LabeledDocument
 
@@ -105,20 +104,15 @@ class StorageBackend(abc.ABC):
         """Acquire the underlying storage (idempotent); returns self."""
         if self._opened:
             return self
-        with get_tracer().span("store.backend.open",
-                               backend=self.url_scheme):
+        with instrumented("store.backend.open", scheme=self.url_scheme):
             try:
                 self._do_open()
             except BackendLockedError:
                 # Contention evidence for the health watchdog: another
                 # process (or another handle in this one) holds the
-                # engine's single-writer lock.
+                # engine's single-writer lock.  The scope records the
+                # refusal as an error event on the way out.
                 self._metric_lock_refusals.increment()
-                get_oplog().record(
-                    "backend.open", outcome="error",
-                    error_type="BackendLockedError",
-                    scheme=self.url_scheme,
-                )
                 raise
         self._opened = True
         return self
@@ -147,11 +141,8 @@ class StorageBackend(abc.ABC):
         edge-model rows without re-parsing ``snapshot.xml``.
         """
         self._require_open()
-        with get_oplog().op("backend.put", document=snapshot.name,
-                            scheme=self.url_scheme), \
-                get_tracer().span("store.backend.put",
-                                  backend=self.url_scheme,
-                                  document=snapshot.name), \
+        with instrumented("store.backend.put", document=snapshot.name,
+                          scheme=self.url_scheme), \
                 self._timer_put.time():
             self._do_put(snapshot, ldoc)
         self._metric_puts.increment()
@@ -159,11 +150,8 @@ class StorageBackend(abc.ABC):
     def get(self, name: str) -> Snapshot:
         """Load one document state; :class:`StorageError` when absent."""
         self._require_open()
-        with get_oplog().op("backend.get", document=name,
-                            scheme=self.url_scheme), \
-                get_tracer().span("store.backend.get",
-                                  backend=self.url_scheme,
-                                  document=name), \
+        with instrumented("store.backend.get", document=name,
+                          scheme=self.url_scheme), \
                 self._timer_get.time():
             snapshot = self._do_get(name)
         self._metric_gets.increment()
@@ -172,10 +160,8 @@ class StorageBackend(abc.ABC):
     def delete(self, name: str) -> None:
         """Forget one document; :class:`StorageError` when absent."""
         self._require_open()
-        with get_oplog().op("backend.delete", document=name,
-                            scheme=self.url_scheme), \
-                get_tracer().span("store.backend.delete",
-                                  backend=self.url_scheme, document=name):
+        with instrumented("store.backend.delete", document=name,
+                          scheme=self.url_scheme):
             self._do_delete(name)
         self._metric_deletes.increment()
 
@@ -209,15 +195,13 @@ class StorageBackend(abc.ABC):
         included, without re-parsing the document text.
         """
         self._require_open()
-        with get_oplog().op("backend.point_query", document=document,
-                            scheme=self.url_scheme) as op, \
-                get_tracer().span("store.backend.point_query",
-                                  backend=self.url_scheme,
-                                  document=document, node_name=node_name):
+        with instrumented("store.backend.point_query", document=document,
+                          scheme=self.url_scheme,
+                          node_name=node_name) as scope:
             records = self._do_point_query(document, node_name)
             if records is not None:
                 self._metric_point_queries.increment()
-                op.set(nodes=len(records))
+                scope.set(nodes=len(records))
         return records
 
     def _do_point_query(self, document: str,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -13,9 +14,11 @@ from repro.observability.ops import (
     OpLog,
     configure_oplog,
     get_oplog,
+    instrumented,
     oplog_enabled,
     render_oplog,
 )
+from repro.observability.tracing import InMemorySpanExporter, tracing_enabled
 from repro.schemes.registry import make_scheme
 from repro.updates.document import LabeledDocument
 from repro.xmlmodel.parser import parse
@@ -61,6 +64,26 @@ class TestRingBounds:
                 log.record("op.x", 0.0)
             configure_oplog(enabled=True, capacity=4)
             assert len(log) == 4
+
+    def test_scoped_exit_trims_back_to_restored_capacity(self):
+        """Regression: leaving ``oplog_enabled`` restored the saved
+        capacity by plain assignment, leaving the ring over it."""
+        saved = (get_oplog().enabled, get_oplog().capacity)
+        try:
+            configure_oplog(enabled=False, capacity=4)
+            evicted_before = get_registry().snapshot()["ops.evicted"]
+            with oplog_enabled(capacity=100) as log:
+                for _ in range(50):
+                    log.record("op.x", 0.0)
+            assert log.capacity == 4
+            assert len(log) == 4
+            payload = log.to_payload()
+            assert payload["capacity"] == 4
+            assert len(payload["events"]) == 4
+            assert (get_registry().snapshot()["ops.evicted"]
+                    - evicted_before) == 46
+        finally:
+            configure_oplog(enabled=saved[0], capacity=saved[1])
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -139,6 +162,63 @@ class TestDisabledCost:
         before = len(get_oplog())
         document.updates.append_child(document.document.root, "quiet")
         assert len(get_oplog()) == before
+
+    def test_disabled_instrumented_scope_is_bounded(self):
+        """With the tracer and the op-log both off, every hot-path scope
+        is one shared no-op and costs microseconds, not milliseconds."""
+        first = instrumented("op.x", scheme="dewey")
+        assert first is instrumented("op.y", document="d", nodes=1)
+        assert first.tracing is False
+        calls = 20000
+        start = time.perf_counter()
+        for _ in range(calls):
+            with instrumented("hot", scheme="dewey") as scope:
+                scope.set(nodes=1, relabeled=0)
+        elapsed = time.perf_counter() - start
+        # Generous ceiling, as for the disabled tracer span: catches
+        # accidental allocation or clock reads on the no-op path.
+        assert elapsed / calls < 10e-6
+
+
+class TestInstrumentedScope:
+    def test_feeds_both_sinks_and_links_them(self):
+        exporter = InMemorySpanExporter()
+        with tracing_enabled(exporter), oplog_enabled() as log:
+            with instrumented("op.both", scheme="dewey", kind="x") as scope:
+                assert scope.tracing is True
+                scope.set(nodes=3, relabeled=1)
+        (span,) = exporter.spans
+        (event,) = log.events()
+        assert span.name == event.kind == "op.both"
+        assert span.attributes == {"kind": "x", "scheme": "dewey",
+                                   "nodes": 3, "relabeled": 1}
+        assert (event.scheme, event.nodes) == ("dewey", 3)
+        assert event.span_id == span.span_id
+        assert event.trace_id == span.trace_id
+
+    def test_op_log_alone_records_without_tracing(self):
+        with oplog_enabled() as log:
+            with instrumented("op.quiet", document="d") as scope:
+                assert scope.tracing is False
+                scope.set(nodes=2, outcome="rollback")
+        (event,) = log.events()
+        assert (event.document, event.nodes, event.outcome) == (
+            "d", 2, "rollback")
+        assert event.span_id is None
+
+    def test_error_marks_span_records_error_event_and_reraises(self):
+        exporter = InMemorySpanExporter()
+        with tracing_enabled(exporter), oplog_enabled() as log:
+            with pytest.raises(ValueError):
+                with instrumented("op.fail", scheme="dewey"):
+                    raise ValueError("boom")
+        (span,) = exporter.spans
+        (event,) = log.events()
+        assert span.status == "error"
+        assert span.error == "ValueError: boom"
+        assert event.outcome == "error"
+        assert event.error_type == "ValueError"
+        assert event.span_id == span.span_id
 
 
 class TestInstrumentedPaths:

@@ -1,4 +1,4 @@
-"""REP005 fixture: the enabled-check *_core split, followed and broken."""
+"""REP005 fixture: hot-path telemetry through instrumented(), and around it."""
 
 
 def apply_traced(tracer, batch):
@@ -6,18 +6,17 @@ def apply_traced(tracer, batch):
         return batch.run()
 
 
-def apply_gated(tracer, batch):
-    if not tracer.enabled:
-        return apply_gated_core(batch)
-    with tracer.span("updates.apply"):
-        return apply_gated_core(batch)
+def apply_logged(oplog, batch):
+    with oplog.op("updates.apply"):
+        return batch.run()
 
 
-def apply_gated_core(batch):
-    return batch.run()
+def apply_instrumented(batch):
+    with instrumented("updates.apply") as scope:
+        result = batch.run()
+        scope.set(nodes=result)
+    return result
 
 
-def relabel_core(batch):
-    tracer = get_tracer()
-    tracer.record(batch)
-    return batch.run()
+def refuse(oplog, batch):
+    oplog.record("updates.refusal", outcome="error", nodes=batch.size)

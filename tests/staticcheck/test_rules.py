@@ -105,19 +105,20 @@ class TestNakedMutation:
         assert not {f.line for f in findings}.intersection(local_write)
 
 
-class TestTracedCoreSplit:
-    def test_span_without_enabled_gate(self, rule_ctx):
+class TestInstrumentedOnly:
+    def test_direct_span_is_flagged(self, rule_ctx):
         findings = findings_for("REP005", rule_ctx)
-        assert any("apply_traced" in f.message for f in findings)
+        assert 'with tracer.span("updates.apply"):' in snippets(findings)
 
-    def test_core_function_touching_tracer(self, rule_ctx):
+    def test_direct_op_is_flagged(self, rule_ctx):
         findings = findings_for("REP005", rule_ctx)
-        assert any("relabel_core" in f.message for f in findings)
+        assert 'with oplog.op("updates.apply"):' in snippets(findings)
         assert len(findings) == 2
 
-    def test_gated_wrapper_is_clean(self, rule_ctx):
+    def test_instrumented_scope_and_point_events_are_clean(self, rule_ctx):
         findings = findings_for("REP005", rule_ctx)
-        assert not any("apply_gated" in f.message for f in findings)
+        assert not any("instrumented" in f.snippet or "record" in f.snippet
+                       for f in findings)
 
 
 class TestMetricName:
